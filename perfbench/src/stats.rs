@@ -1,0 +1,40 @@
+//! Order statistics over latency samples.
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`) by linear interpolation between
+/// closest ranks; `NaN` for no samples.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+pub fn mean(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let xs = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&xs), 2.5);
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 1.0), 4.0);
+        assert!(median(&[]).is_nan());
+    }
+}
