@@ -13,12 +13,16 @@
 //! This module makes the compiled geometry a first-class artifact:
 //!
 //! * [`CompiledFleet`] — the arena-backed artifact: one contiguous
-//!   structure-of-arrays piece store (`starts`/`ends`/`constants` plus
-//!   `ray`/`robot` tags) with `(robot, ray)` span indices, instead of
-//!   `k·m` little `Vec<FirstVisitPiece>`s;
+//!   structure-of-arrays piece store (`starts`/`ends`/`constants`) with
+//!   `(robot, ray)` span indices, instead of `k·m` little
+//!   `Vec<FirstVisitPiece>`s, plus each ray's prepared event sweep
+//!   (sorted events with precomputed constant ranks, distinct
+//!   constants, distinct boundaries), so a warm evaluation is one
+//!   Fenwick pass per ray with no sorting;
 //! * [`FleetBuilder`] — streaming construction, one tour at a time,
 //!   through the *same* single-pass compilation the evaluator always
-//!   used (bit-for-bit identical pieces);
+//!   used (bit-for-bit identical pieces); [`FleetBuilder::finish`]
+//!   prepares the sweeps;
 //! * [`FleetKey`] — the memoization key `(strategy, m, k, α-or-η,
 //!   cap)`, deliberately `f`-free;
 //! * [`CompileCache`] / [`NoCache`] / [`CompileMemo`] — the cache
@@ -38,7 +42,7 @@ use parking_lot::Mutex;
 use raysearch_sim::{LogTourItinerary, TourItinerary};
 
 use crate::canon::CanonF64;
-use crate::eval::{compile_first_visit_pieces, FirstVisitPiece};
+use crate::eval::{compile_first_visit_pieces, FirstVisitPiece, RaySweep};
 use crate::CoreError;
 
 /// The memoization key of a compiled fleet: everything the piece arenas
@@ -77,16 +81,25 @@ pub enum FleetKey {
 }
 
 /// A compiled fleet: every robot's first-visit pieces on every ray, in
-/// one arena.
+/// one arena, plus every ray's prepared event sweep.
 ///
-/// Storage is a structure of arrays — contiguous `starts`, `ends`,
-/// `constants`, `ray`, `robot` vectors — with the pieces of `(robot,
-/// ray)` occupying the contiguous index range `spans[robot·m + ray]`,
-/// sorted by strictly increasing `lo` within each span. Piece *values*
-/// are bit-for-bit the ones [`compile_first_visit_pieces`] produces, so
+/// Piece storage is a structure of arrays — contiguous `starts`,
+/// `ends`, `constants` vectors — with the pieces of `(robot, ray)`
+/// occupying the contiguous index range `spans[robot·m + ray]`, sorted
+/// by strictly increasing `lo` within each span. Piece *values* are
+/// bit-for-bit the ones [`compile_first_visit_pieces`] produces, so
 /// every consumer (exact sup, verdict, Monte-Carlo table) answers
 /// identically whether it compiled fresh or pulled the artifact from a
 /// cache.
+///
+/// Beside the arena, each ray holds everything of the exact sup that
+/// depends neither on the fault budget `f` nor on the evaluation
+/// range: the activation/deactivation events sorted by position, each
+/// carrying its constant's precomputed rank; the distinct constants;
+/// and the distinct piece boundaries. Building them costs one pair of
+/// run-merging sorts per ray at compile time, and roughly doubles the
+/// artifact's bytes ([`CompiledFleet::heap_bytes`]); in exchange a warm
+/// evaluation, for any `f`, is one linear pass of Fenwick updates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFleet {
     m: usize,
@@ -94,10 +107,10 @@ pub struct CompiledFleet {
     starts: Vec<f64>,
     ends: Vec<f64>,
     constants: Vec<f64>,
-    ray: Vec<u32>,
-    robot: Vec<u32>,
     /// `spans[robot * m + ray] = (first, last+1)` into the arenas.
     spans: Vec<(u32, u32)>,
+    /// `sweeps[ray]`, prepared by [`FleetBuilder::finish`].
+    sweeps: Vec<RaySweep>,
 }
 
 impl CompiledFleet {
@@ -168,28 +181,31 @@ impl CompiledFleet {
         (x <= self.ends[i]).then(|| self.constants[i] + x)
     }
 
-    /// Folds every piece of one ray (across all robots, robot-major
-    /// order) into `visit` as `(lo, hi, c)` — the flat iteration the
-    /// event-sweep sup and boundary enumerations are built on.
-    pub(crate) fn for_each_piece_on_ray(&self, ray: usize, mut visit: impl FnMut(f64, f64, f64)) {
-        for robot in 0..self.num_robots() {
-            let (a, b) = self.span(robot, ray);
-            for i in a..b {
-                visit(self.starts[i], self.ends[i], self.constants[i]);
-            }
-        }
+    /// The prepared event sweep of one ray.
+    #[inline]
+    pub(crate) fn sweep(&self, ray: usize) -> &RaySweep {
+        &self.sweeps[ray]
     }
 
-    /// The per-piece ray tags (parallel to the arenas).
-    #[inline]
-    pub fn ray_tags(&self) -> &[u32] {
-        &self.ray
+    /// Every piece boundary on `ray` strictly inside `(lo, hi)`, sorted
+    /// ascending and distinct — the exact adversary's candidate target
+    /// set, sliced out of the prepared sweep with two binary searches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ray` is out of range.
+    pub fn boundaries(&self, ray: usize, lo: f64, hi: f64) -> &[f64] {
+        self.sweeps[ray].boundaries(lo, hi)
     }
 
-    /// The per-piece robot tags (parallel to the arenas).
-    #[inline]
-    pub fn robot_tags(&self) -> &[u32] {
-        &self.robot
+    /// Bytes the artifact holds on the heap: the piece arena, the span
+    /// index and the prepared sweeps.
+    pub fn heap_bytes(&self) -> usize {
+        (self.starts.capacity() + self.ends.capacity() + self.constants.capacity())
+            * size_of::<f64>()
+            + self.spans.capacity() * size_of::<(u32, u32)>()
+            + self.sweeps.capacity() * size_of::<RaySweep>()
+            + self.sweeps.iter().map(RaySweep::heap_bytes).sum::<usize>()
     }
 }
 
@@ -244,24 +260,20 @@ impl FleetBuilder {
                 starts: Vec::new(),
                 ends: Vec::new(),
                 constants: Vec::new(),
-                ray: Vec::new(),
-                robot: Vec::new(),
                 spans: Vec::new(),
+                sweeps: Vec::new(),
             },
         })
     }
 
     /// Appends the per-ray piece vectors of one robot to the arenas.
     fn push_compiled(&mut self, per_ray: Vec<Vec<FirstVisitPiece>>) {
-        let robot = self.fleet.num_robots() as u32;
-        for (ray, pieces) in per_ray.into_iter().enumerate() {
+        for pieces in per_ray {
             let start = self.fleet.starts.len() as u32;
             for p in pieces {
                 self.fleet.starts.push(p.lo);
                 self.fleet.ends.push(p.hi);
                 self.fleet.constants.push(p.c);
-                self.fleet.ray.push(ray as u32);
-                self.fleet.robot.push(robot);
             }
             self.fleet
                 .spans
@@ -327,9 +339,23 @@ impl FleetBuilder {
         Ok(())
     }
 
-    /// Finalizes the artifact.
+    /// Finalizes the artifact: prepares every ray's event sweep from
+    /// the robots' piece lists (each already sorted, so the sweep's
+    /// sorts merge presorted runs) and trims the arenas.
     pub fn finish(self) -> CompiledFleet {
-        self.fleet
+        let mut fleet = self.fleet;
+        fleet.sweeps = (0..fleet.m)
+            .map(|ray| {
+                RaySweep::from_pieces(
+                    (0..fleet.num_robots()).flat_map(|robot| fleet.pieces(robot, ray)),
+                )
+            })
+            .collect();
+        fleet.starts.shrink_to_fit();
+        fleet.ends.shrink_to_fit();
+        fleet.constants.shrink_to_fit();
+        fleet.spans.shrink_to_fit();
+        fleet
     }
 }
 
@@ -401,9 +427,10 @@ impl CompileStats {
 /// Compilation happens under the shard lock, so concurrent requests for
 /// the same key compile exactly once and everyone else blocks briefly
 /// and shares the artifact. Errors are never cached. The memo is
-/// unbounded — artifacts are a few hundred kilobytes at the largest
-/// fleet sizes, and a campaign's key set is finite; a serving layer
-/// that needs eviction wraps its own bounded store instead.
+/// unbounded — artifacts are a few megabytes at the largest fleet
+/// sizes ([`CompiledFleet::heap_bytes`]), and a campaign's key set is
+/// finite; a serving layer that needs eviction wraps its own bounded
+/// store instead.
 ///
 /// # Example
 ///
@@ -585,24 +612,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tags_are_parallel_to_the_arenas() {
-        let fleet = cyclic_fleet(200.0);
-        assert_eq!(fleet.ray_tags().len(), fleet.num_pieces());
-        assert_eq!(fleet.robot_tags().len(), fleet.num_pieces());
-        let mut seen = 0usize;
-        for robot in 0..fleet.num_robots() {
-            for ray in 0..fleet.num_rays() {
-                for _ in fleet.pieces(robot, ray) {
-                    assert_eq!(fleet.ray_tags()[seen] as usize, ray);
-                    assert_eq!(fleet.robot_tags()[seen] as usize, robot);
-                    seen += 1;
-                }
-            }
-        }
-        assert_eq!(seen, fleet.num_pieces());
     }
 
     #[test]

@@ -159,16 +159,6 @@ impl Pieces {
         Pieces { pieces }
     }
 
-    /// Builds the pieces of *every* ray for a log-domain tour in one
-    /// pass via [`compile_first_visit_pieces`] (see there for the
-    /// truncation and bit-compatibility guarantees).
-    fn per_ray_from_log_tour(tour: &LogTourItinerary, cap: f64) -> Result<Vec<Pieces>, CoreError> {
-        Ok(compile_first_visit_pieces(tour, cap)?
-            .into_iter()
-            .map(|pieces| Pieces { pieces })
-            .collect())
-    }
-
     /// The first-visit constant for a target at `x` (`lo < x ≤ hi`), or
     /// `None` if the plan never reaches `x`.
     fn constant_at(&self, x: f64) -> Option<f64> {
@@ -372,20 +362,8 @@ impl SupAccum {
     }
 }
 
-/// Core sup computation over one domain (side or ray) given per-robot
-/// piece functions: flattens the lists and delegates to the event-sweep
-/// engine (robot identity is irrelevant to the order statistic, so the
-/// sweep never needs to know which piece came from whom).
-fn sup_over_domain(per_robot: &[Pieces], f: u32, lo: f64, hi: f64, ray: usize, acc: &mut SupAccum) {
-    let mut flat: Vec<FirstVisitPiece> = Vec::new();
-    for p in per_robot {
-        flat.extend_from_slice(&p.pieces);
-    }
-    sup_over_flat_pieces(&flat, f, lo, hi, ray, acc);
-}
-
-/// A Fenwick (binary indexed) tree of counts over compressed constant
-/// indices, supporting point updates and order-statistic selection.
+/// A Fenwick (binary indexed) tree of counts over constant ranks,
+/// supporting point updates and order-statistic selection.
 struct Fenwick {
     tree: Vec<i64>,
 }
@@ -424,99 +402,202 @@ impl Fenwick {
     }
 }
 
-/// The event-sweep sup engine over one ray's flattened piece multiset.
+/// One ray's event sweep, prepared once: everything the exact sup needs
+/// that depends neither on the fault budget `f` nor on the evaluation
+/// range.
 ///
-/// Semantically identical to probing every boundary's right-limit with
-/// a per-robot lookup and selecting the `(f+1)`-st smallest active
-/// constant — the historical `O(B·k·log P)` inner loop — but organized
-/// as one left-to-right sweep: pieces activate (`lo`) and deactivate
-/// (`hi`) as interval events, a Fenwick tree over the
-/// coordinate-compressed constants maintains the active multiset, and
-/// each boundary costs one `O(log U)` order-statistic selection. Since
-/// a robot's pieces on a ray tile `(0, reach]` disjointly, the active
-/// piece count at a probe equals the number of robots whose plan covers
-/// the probe, so coverage and selection agree exactly — every reported
-/// value is bit-for-bit the one the per-robot scan produced
-/// (comparisons are `total_cmp` throughout, and constants are
-/// deduplicated by bit pattern).
-fn sup_over_flat_pieces(
-    pieces: &[FirstVisitPiece],
-    f: u32,
-    lo: f64,
-    hi: f64,
-    ray: usize,
-    acc: &mut SupAccum,
-) {
-    let needed = f as usize + 1;
-    // candidate left-ends: lo plus all piece boundaries in (lo, hi)
-    let mut bs: Vec<f64> = vec![lo];
-    // activation/deactivation events; a piece is active at probe `x`
-    // iff `p.lo < x && x <= p.hi`, so `lo` enters and `hi` leaves as
-    // soon as the probe passes them (straddling `hi = ∞` never leaves)
-    let mut events: Vec<(f64, f64, i64)> = Vec::with_capacity(2 * pieces.len());
-    let mut constants: Vec<f64> = Vec::with_capacity(pieces.len());
-    for p in pieces {
-        if p.lo > lo && p.lo < hi {
-            bs.push(p.lo);
-        }
-        if p.hi > lo && p.hi < hi {
-            bs.push(p.hi);
-        }
-        events.push((p.lo, p.c, 1));
-        if p.hi.is_finite() {
-            events.push((p.hi, p.c, -1));
-        }
-        constants.push(p.c);
-    }
-    bs.sort_by(f64::total_cmp);
-    bs.dedup();
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // compress the constant values; dedup by bit pattern so selection
-    // returns exactly the value the uncompressed order statistic would
-    constants.sort_by(f64::total_cmp);
-    constants.dedup_by(|a, b| a.to_bits() == b.to_bits());
+/// A piece `(lo, hi, c)` is active at a probe `x` iff `lo < x ≤ hi`, so
+/// it activates at `lo` and deactivates at `hi` (a straddling `hi = ∞`
+/// never does). The sweep stores those events sorted by position, each
+/// already carrying its constant's rank among the ray's distinct
+/// constants (deduplicated by bit pattern, in `total_cmp` order), so an
+/// evaluation never sorts, dedups or binary-searches a constant:
+///
+/// * `bounds` — the distinct finite event positions, ascending. These
+///   are exactly the ray's piece boundaries, so they double as the
+///   boundary candidates (and as the Monte-Carlo adversarial grid);
+/// * `offsets` — the events at `bounds[j]` are
+///   `codes[offsets[j]..offsets[j + 1]]`;
+/// * `codes` — `rank << 1`, with the low bit set on a deactivation;
+/// * `constants` — the distinct constants, ascending: rank → value.
+///
+/// [`RaySweep::sup`] is then one left-to-right pass of Fenwick
+/// updates with one order-statistic selection per boundary.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RaySweep {
+    bounds: Vec<f64>,
+    offsets: Vec<u32>,
+    codes: Vec<u32>,
+    constants: Vec<f64>,
+}
 
-    let mut counts = Fenwick::new(constants.len());
-    let mut active = 0i64;
-    let mut next_event = 0usize;
-    for (i, &b) in bs.iter().enumerate() {
-        acc.examined += 1;
-        let next = bs.get(i + 1).copied().unwrap_or(hi);
-        // an interior probe point of (b, next): no boundary lies inside,
-        // so every robot's constant is uniform on the whole open segment
-        let probe = 0.5 * (b + next);
-        // probes strictly increase, so the event pointer only advances
-        while next_event < events.len() && events[next_event].0 < probe {
-            let (_, c, delta) = events[next_event];
-            let idx = constants.partition_point(|x| x.total_cmp(&c).is_lt());
-            counts.add(idx, delta);
-            active += delta;
-            next_event += 1;
-        }
-        if (active as usize) < needed {
-            if acc.uncovered.is_none() {
-                acc.uncovered = Some(WorstTarget {
-                    ray,
-                    x: probe,
-                    detection_limit: f64::INFINITY,
-                });
+impl RaySweep {
+    /// Prepares the sweep of one ray from its pieces, across all robots.
+    ///
+    /// Any order is correct. The intended input is the robots' piece
+    /// lists concatenated: within one robot's list both the constants
+    /// and the positions already ascend (its pieces tile `(0, reach]`
+    /// left to right, and each constant is twice a growing turning-mass
+    /// prefix), so the two stable sorts below merge presorted runs, and
+    /// almost every deactivation shares its position with the next
+    /// piece's activation, so it rides on that entry instead of being
+    /// sorted on its own.
+    pub(crate) fn from_pieces(pieces: impl IntoIterator<Item = FirstVisitPiece>) -> RaySweep {
+        /// Entry kinds, in the low two bits beside the piece index.
+        const ACTIVATE: u32 = 0;
+        const ACTIVATE_AND_END_PREVIOUS: u32 = 1;
+        const DEACTIVATE: u32 = 2;
+
+        let pieces: Vec<FirstVisitPiece> = pieces.into_iter().collect();
+        assert!(
+            pieces.len() < 1 << 30,
+            "a ray sweep indexes fewer than 2^30 pieces"
+        );
+        // rank the constants in one walk over them in sorted order
+        let mut by_constant: Vec<(f64, u32)> = pieces
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.c, i as u32))
+            .collect();
+        by_constant.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut constants: Vec<f64> = Vec::new();
+        let mut rank = vec![0u32; pieces.len()];
+        for &(c, i) in &by_constant {
+            if constants
+                .last()
+                .is_none_or(|last| last.to_bits() != c.to_bits())
+            {
+                constants.push(c);
             }
-            continue;
+            rank[i as usize] = (constants.len() - 1) as u32;
         }
-        // the (f+1)-st smallest active constant, straight off the tree
-        let c = constants[counts.select(needed as i64)];
-        let candidate = WorstTarget {
-            ray,
-            x: b,
-            detection_limit: c + b,
-        };
-        let ratio = candidate.detection_limit / candidate.x;
-        let better = match &acc.best {
-            Some(w) => ratio > w.detection_limit / w.x,
-            None => true,
-        };
-        if better {
-            acc.best = Some(candidate);
+        drop(by_constant);
+
+        let mut entries: Vec<(f64, u32)> = Vec::with_capacity(pieces.len() + pieces.len() / 4);
+        for (i, p) in pieces.iter().enumerate() {
+            let ends_previous = i > 0 && pieces[i - 1].hi == p.lo;
+            let kind = if ends_previous {
+                ACTIVATE_AND_END_PREVIOUS
+            } else {
+                ACTIVATE
+            };
+            entries.push((p.lo, (i as u32) << 2 | kind));
+            let ended_by_next = pieces.get(i + 1).is_some_and(|next| next.lo == p.hi);
+            if p.hi.is_finite() && !ended_by_next {
+                entries.push((p.hi, (i as u32) << 2 | DEACTIVATE));
+            }
+        }
+        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+        let mut bounds: Vec<f64> = Vec::new();
+        let mut offsets: Vec<u32> = Vec::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(2 * pieces.len());
+        for &(x, entry) in &entries {
+            if bounds.last() != Some(&x) {
+                bounds.push(x);
+                offsets.push(codes.len() as u32);
+            }
+            let i = (entry >> 2) as usize;
+            match entry & 3 {
+                ACTIVATE => codes.push(rank[i] << 1),
+                ACTIVATE_AND_END_PREVIOUS => {
+                    codes.push(rank[i] << 1);
+                    codes.push(rank[i - 1] << 1 | 1);
+                }
+                _ => codes.push(rank[i] << 1 | 1),
+            }
+        }
+        offsets.push(codes.len() as u32);
+        bounds.shrink_to_fit();
+        offsets.shrink_to_fit();
+        codes.shrink_to_fit();
+        constants.shrink_to_fit();
+        RaySweep {
+            bounds,
+            offsets,
+            codes,
+            constants,
+        }
+    }
+
+    /// The piece boundaries strictly inside `(lo, hi)`, ascending and
+    /// distinct: two binary searches into the prepared positions.
+    pub(crate) fn boundaries(&self, lo: f64, hi: f64) -> &[f64] {
+        let first = self.bounds.partition_point(|&b| b <= lo);
+        let end = self.bounds.partition_point(|&b| b < hi);
+        &self.bounds[first..end.max(first)]
+    }
+
+    /// Bytes this sweep holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.bounds.capacity() * size_of::<f64>()
+            + self.offsets.capacity() * size_of::<u32>()
+            + self.codes.capacity() * size_of::<u32>()
+            + self.constants.capacity() * size_of::<f64>()
+    }
+
+    /// The exact sup of the `(f+1)`-st first-visit time ratio over
+    /// targets in `[lo, hi]` on this ray, folded into `acc`.
+    ///
+    /// Semantically identical to probing every boundary's right-limit
+    /// with a per-robot lookup and selecting the `(f+1)`-st smallest
+    /// active constant: the boundary candidates are `lo` plus the piece
+    /// boundaries inside `(lo, hi)`, each probed at the midpoint to its
+    /// successor, and the Fenwick tree over constant ranks holds the
+    /// active multiset at that probe. Since a robot's pieces on a ray
+    /// tile `(0, reach]` disjointly, the active piece count at a probe
+    /// equals the number of robots whose plan covers it, so coverage
+    /// and selection agree exactly with the per-robot scan, bit for bit.
+    fn sup(&self, f: u32, lo: f64, hi: f64, ray: usize, acc: &mut SupAccum) {
+        let needed = f as usize + 1;
+        let inner = self.boundaries(lo, hi);
+        acc.examined += 1 + inner.len();
+        let mut counts = Fenwick::new(self.constants.len());
+        let mut active = 0i64;
+        let mut next_event = 0usize;
+        let mut b = lo;
+        for i in 0..=inner.len() {
+            let next = inner.get(i).copied().unwrap_or(hi);
+            // an interior probe point of (b, next): no boundary lies
+            // inside, so every robot's constant is uniform on the whole
+            // open segment
+            let probe = 0.5 * (b + next);
+            // probes strictly increase, so the event pointer only advances
+            while next_event < self.bounds.len() && self.bounds[next_event] < probe {
+                let at = self.offsets[next_event] as usize..self.offsets[next_event + 1] as usize;
+                for &code in &self.codes[at] {
+                    let delta = 1 - 2 * i64::from(code & 1);
+                    counts.add((code >> 1) as usize, delta);
+                    active += delta;
+                }
+                next_event += 1;
+            }
+            if (active as usize) < needed {
+                if acc.uncovered.is_none() {
+                    acc.uncovered = Some(WorstTarget {
+                        ray,
+                        x: probe,
+                        detection_limit: f64::INFINITY,
+                    });
+                }
+            } else {
+                // the (f+1)-st smallest active constant, straight off the tree
+                let c = self.constants[counts.select(needed as i64)];
+                let candidate = WorstTarget {
+                    ray,
+                    x: b,
+                    detection_limit: c + b,
+                };
+                let ratio = candidate.detection_limit / candidate.x;
+                let better = match &acc.best {
+                    Some(w) => ratio > w.detection_limit / w.x,
+                    None => true,
+                };
+                if better {
+                    acc.best = Some(candidate);
+                }
+            }
+            b = next;
         }
     }
 }
@@ -571,8 +652,12 @@ impl LineEvaluator {
         }
         let mut acc = SupAccum::default();
         for (ray, side) in [(0, Direction::Positive), (1, Direction::Negative)] {
-            let pieces: Vec<Pieces> = fleet.iter().map(|it| Pieces::from_line(it, side)).collect();
-            sup_over_domain(&pieces, self.f, self.lo, self.hi, ray, &mut acc);
+            RaySweep::from_pieces(
+                fleet
+                    .iter()
+                    .flat_map(|it| Pieces::from_line(it, side).pieces),
+            )
+            .sup(self.f, self.lo, self.hi, ray, &mut acc);
         }
         Ok(acc.into_report())
     }
@@ -662,28 +747,13 @@ impl RayEvaluator {
     /// Returns [`CoreError::InvalidInput`] if the fleet has fewer than
     /// `f+1` robots or a tour is for the wrong number of rays.
     pub fn evaluate(&self, fleet: &[TourItinerary]) -> Result<EvalReport, CoreError> {
-        if fleet.len() <= self.f as usize {
-            return Err(CoreError::invalid(format!(
-                "need more than f = {} robots, got {}",
-                self.f,
-                fleet.len()
-            )));
+        // linear tours compile untruncated, so the evaluation range is
+        // a valid cap
+        let mut builder = FleetBuilder::new(self.m, self.hi)?;
+        for tour in fleet {
+            builder.push_tour(tour)?;
         }
-        for t in fleet {
-            if t.num_rays() != self.m {
-                return Err(CoreError::invalid(format!(
-                    "tour is for {} rays, evaluator expects {}",
-                    t.num_rays(),
-                    self.m
-                )));
-            }
-        }
-        let mut acc = SupAccum::default();
-        for ray in 0..self.m {
-            let pieces: Vec<Pieces> = fleet.iter().map(|t| Pieces::from_tour(t, ray)).collect();
-            sup_over_domain(&pieces, self.f, self.lo, self.hi, ray, &mut acc);
-        }
-        Ok(acc.into_report())
+        self.evaluate_compiled(&builder.finish())
     }
 
     /// Evaluates the exact worst-case ratio of a fleet of *log-domain*
@@ -719,59 +789,19 @@ impl RayEvaluator {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn evaluate_log(&self, fleet: &[LogTourItinerary]) -> Result<EvalReport, CoreError> {
-        if fleet.len() <= self.f as usize {
-            return Err(CoreError::invalid(format!(
-                "need more than f = {} robots, got {}",
-                self.f,
-                fleet.len()
-            )));
-        }
-        let mut per_ray: Vec<Vec<Pieces>> = (0..self.m).map(|_| Vec::new()).collect();
+        let mut builder = FleetBuilder::new(self.m, self.hi)?;
         for tour in fleet {
-            self.push_log_pieces(&mut per_ray, tour)?;
+            builder.push_log_tour(tour)?;
         }
-        Ok(self.sup_of_compiled(&per_ray))
-    }
-
-    /// Compiles one robot's log tour (truncated at this evaluator's
-    /// range) and appends its pieces to each ray's bucket — the shared
-    /// streaming step of [`RayEvaluator::evaluate_log`],
-    /// [`evaluate_optimal`] and the verdict pipeline.
-    pub(crate) fn push_log_pieces(
-        &self,
-        per_ray: &mut [Vec<Pieces>],
-        tour: &LogTourItinerary,
-    ) -> Result<(), CoreError> {
-        if tour.num_rays() != self.m {
-            return Err(CoreError::invalid(format!(
-                "tour is for {} rays, evaluator expects {}",
-                tour.num_rays(),
-                self.m
-            )));
-        }
-        for (robots, compiled) in per_ray
-            .iter_mut()
-            .zip(Pieces::per_ray_from_log_tour(tour, self.hi)?)
-        {
-            robots.push(compiled);
-        }
-        Ok(())
-    }
-
-    /// Runs the per-ray sup over compiled piece tables.
-    pub(crate) fn sup_of_compiled(&self, per_ray: &[Vec<Pieces>]) -> EvalReport {
-        let mut acc = SupAccum::default();
-        for (ray, robots) in per_ray.iter().enumerate() {
-            sup_over_domain(robots, self.f, self.lo, self.hi, ray, &mut acc);
-        }
-        acc.into_report()
+        self.evaluate_compiled(&builder.finish())
     }
 
     /// Evaluates the exact worst-case ratio of a [`CompiledFleet`]
-    /// artifact — the compile-once/evaluate-many twin of
-    /// [`RayEvaluator::evaluate_log`], and bit-identical to it for a
-    /// fleet compiled from the same tours at a cap covering this
-    /// evaluator's range.
+    /// artifact — the compile-once/evaluate-many path every ray
+    /// evaluator ends in. Nothing is sorted here: each ray's events,
+    /// constant ranks and boundaries were prepared when the artifact
+    /// was built, so this is one Fenwick pass per ray over the
+    /// boundaries in range, for any `f`.
     ///
     /// # Errors
     ///
@@ -802,13 +832,10 @@ impl RayEvaluator {
             )));
         }
         let mut acc = SupAccum::default();
-        let mut flat: Vec<FirstVisitPiece> = Vec::new();
         for ray in 0..self.m {
-            flat.clear();
-            fleet.for_each_piece_on_ray(ray, |lo, hi, c| {
-                flat.push(FirstVisitPiece { lo, hi, c });
-            });
-            sup_over_flat_pieces(&flat, self.f, self.lo, self.hi, ray, &mut acc);
+            fleet
+                .sweep(ray)
+                .sup(self.f, self.lo, self.hi, ray, &mut acc);
         }
         Ok(acc.into_report())
     }

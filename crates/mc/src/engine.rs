@@ -155,7 +155,7 @@ impl Scenario {
         let mut points = Vec::new();
         for ray in 0..self.m as usize {
             points.push((ray, 1.0));
-            for b in table.boundaries_on_ray(ray, 1.0, self.horizon) {
+            for &b in table.boundaries_on_ray(ray, 1.0, self.horizon) {
                 // the sup is a right-limit at the boundary; replay a
                 // point just inside the next piece
                 let x = b * (1.0 + 1e-12);
@@ -187,21 +187,17 @@ impl Scenario {
         let key = FleetKey::Cyclic {
             m: self.m,
             k: self.k,
-            alpha: CanonF64::new(strategy.alpha())
-                .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?,
-            cap: CanonF64::new(self.horizon)
-                .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?,
+            alpha: CanonF64::new(strategy.alpha())?,
+            cap: CanonF64::new(self.horizon)?,
         };
-        let fleet = cache
-            .get_or_compile(key, &mut || {
-                let mut builder = FleetBuilder::new(self.m as usize, self.horizon)?;
-                for r in 0..self.k as usize {
-                    builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), self.horizon)?)?;
-                }
-                Ok(builder.finish())
-            })
-            .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?;
-        Ok(VisitTable::from_compiled(&fleet))
+        let fleet = cache.get_or_compile(key, &mut || {
+            let mut builder = FleetBuilder::new(self.m as usize, self.horizon)?;
+            for r in 0..self.k as usize {
+                builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), self.horizon)?)?;
+            }
+            Ok(builder.finish())
+        })?;
+        Ok(fleet.into())
     }
 }
 

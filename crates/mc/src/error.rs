@@ -38,6 +38,14 @@ impl From<raysearch_bounds::BoundsError> for McError {
     }
 }
 
+/// Core errors reach this crate only from compiling a fleet's
+/// first-visit pieces.
+impl From<raysearch_core::CoreError> for McError {
+    fn from(e: raysearch_core::CoreError) -> Self {
+        McError::invalid(format!("first-visit compilation: {e}"))
+    }
+}
+
 impl From<raysearch_sim::SimError> for McError {
     fn from(e: raysearch_sim::SimError) -> Self {
         McError::invalid(format!("sim: {e}"))

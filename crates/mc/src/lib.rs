@@ -12,8 +12,8 @@
 //!
 //! # Architecture
 //!
-//! * [`VisitTable`] — the fleet's first-visit functions, compiled once
-//!   (bit-compatible with the exact evaluator's piece construction);
+//! * [`VisitTable`] — the fleet's first-visit functions: a shared view
+//!   over the compiled-fleet artifact the exact evaluator sweeps;
 //! * [`FaultSampler`] / [`TargetSampler`] — pluggable distributions
 //!   over fault sets and target positions (see the taxonomy in
 //!   [`sampler`]);

@@ -1,26 +1,27 @@
-//! Precompiled first-visit tables for fleets of ray tours.
+//! First-visit tables for fleets of ray tours.
 //!
-//! The exact evaluator in `raysearch-core` rebuilds its piecewise
-//! first-visit functions on every `detection_time` query; that is fine
-//! for a handful of sup computations but not for hundreds of thousands
-//! of Monte-Carlo samples. [`VisitTable`] compiles the same structure
-//! once — for each robot and ray, the sorted slope-1 pieces
-//! `(lo, hi, c]` such that targets in `(lo, hi]` are first visited at
-//! time `c + x` — and answers each query with one binary search.
+//! The Monte-Carlo engine answers hundreds of thousands of first-visit
+//! queries per estimate. [`VisitTable`] is a shared view over the
+//! compilation layer's [`CompiledFleet`]: for each robot and ray, the
+//! sorted slope-1 pieces `(lo, hi, c]` such that targets in `(lo, hi]`
+//! are first visited at time `c + x`, each query one binary search.
 //!
-//! The piece construction is *identical* to the evaluator's (`c` is
-//! twice the turning mass before the covering leg), so a table query
-//! returns the bit-for-bit same `f64` as
+//! The pieces are the exact evaluator's own (`c` is twice the turning
+//! mass before the covering leg), so a table query returns the
+//! bit-for-bit same `f64` as
 //! [`RayEvaluator::detection_time`](raysearch_core::RayEvaluator::detection_time)
 //! composed over the same robots. The degenerate-sampler tests pin this.
 
-use raysearch_core::FirstVisitPiece;
+use std::sync::Arc;
+
+use raysearch_core::{CompiledFleet, FleetBuilder};
 use raysearch_sim::{LogTourItinerary, TourItinerary};
 
 use crate::McError;
 
 /// The compiled first-visit functions of a whole fleet, indexed by
-/// `(robot, ray)`.
+/// `(robot, ray)`: a cheap-to-clone view over a shared
+/// [`CompiledFleet`].
 ///
 /// # Example
 ///
@@ -38,13 +39,14 @@ use crate::McError;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct VisitTable {
-    m: usize,
-    /// `pieces[robot * m + ray]`, each sorted by strictly increasing `lo`.
-    pieces: Vec<Vec<FirstVisitPiece>>,
+    fleet: Arc<CompiledFleet>,
 }
 
 impl VisitTable {
     /// Compiles the first-visit functions of every robot in `fleet`.
+    ///
+    /// Linear tours compile untruncated, so the table answers targets
+    /// at every distance.
     ///
     /// # Errors
     ///
@@ -54,169 +56,76 @@ impl VisitTable {
         let Some(first) = fleet.first() else {
             return Err(McError::invalid("fleet must have at least one robot"));
         };
-        let m = first.num_rays();
-        let mut pieces = Vec::with_capacity(fleet.len() * m);
+        let mut builder = FleetBuilder::new(first.num_rays(), f64::MAX)?;
         for tour in fleet {
-            if tour.num_rays() != m {
-                return Err(McError::invalid(format!(
-                    "tour is for {} rays, fleet started with {m}",
-                    tour.num_rays()
-                )));
-            }
-            for ray in 0..m {
-                // mirror of the exact evaluator's construction: a new
-                // piece opens whenever an excursion on `ray` pushes past
-                // the furthest distance visited so far, and its constant
-                // is twice the turning mass spent before that leg
-                let mut per_ray = Vec::new();
-                let mut reach = 0.0f64;
-                let mut prefix = 0.0f64;
-                for e in tour.excursions() {
-                    if e.ray.index() == ray && e.turn > reach {
-                        per_ray.push(FirstVisitPiece {
-                            lo: reach,
-                            hi: e.turn,
-                            c: 2.0 * prefix,
-                        });
-                        reach = e.turn;
-                    }
-                    prefix += e.turn;
-                }
-                pieces.push(per_ray);
-            }
+            builder.push_tour(tour)?;
         }
-        Ok(VisitTable { m, pieces })
+        Ok(Arc::new(builder.finish()).into())
     }
 
-    /// An empty table over `m` rays, to be filled one robot at a time
-    /// with [`VisitTable::push_log_tour`] — the streaming construction
-    /// path for large fleets, where materializing every log tour at
-    /// once would cost hundreds of megabytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidInput`] if `m = 0`.
-    pub fn new(m: usize) -> Result<Self, McError> {
-        if m == 0 {
-            return Err(McError::invalid("a ray star must have at least one ray"));
-        }
-        Ok(VisitTable {
-            m,
-            pieces: Vec::new(),
-        })
-    }
-
-    /// Appends one robot's first-visit pieces, compiled from a
-    /// log-domain tour and truncated at `cap` through the *same*
+    /// Compiles a whole fleet of log-domain tours, each truncated at
+    /// `cap` through the *same*
     /// [`compile_first_visit_pieces`](raysearch_core::compile_first_visit_pieces)
-    /// the exact evaluator uses — the shared compilation is what makes
-    /// the table's answers bit-for-bit identical to the evaluator's.
-    ///
-    /// Construction stops at the first piece reaching past `cap`:
-    /// queries are only valid for `x ≤ cap`, and every piece that can
-    /// answer such a query has `lo < cap`. This is what keeps the
-    /// overflowing post-horizon padding tail of a large fleet out of
-    /// linear space entirely — answers for `x ≤ cap` are bit-for-bit
-    /// identical to a `from_fleet` table of the same (finite) fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidInput`] if the tour's ray count
-    /// disagrees with the table's, `cap` is not positive and finite, or
-    /// a first-visit constant within the cap overflows `f64` (a horizon
-    /// too deep for the fleet's turning-point growth).
-    pub fn push_log_tour(&mut self, tour: &LogTourItinerary, cap: f64) -> Result<(), McError> {
-        if tour.num_rays() != self.m {
-            return Err(McError::invalid(format!(
-                "tour is for {} rays, table expects {}",
-                tour.num_rays(),
-                self.m
-            )));
-        }
-        let compiled = raysearch_core::compile_first_visit_pieces(tour, cap)
-            .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?;
-        self.pieces.extend(compiled);
-        Ok(())
-    }
-
-    /// Compiles a whole fleet of log-domain tours (see
-    /// [`VisitTable::push_log_tour`] for the `cap` semantics).
+    /// the exact evaluator uses. Queries are valid for `x ≤ cap`, and
+    /// the overflowing post-horizon padding tail of a large fleet never
+    /// reaches linear space.
     ///
     /// # Errors
     ///
     /// Returns [`McError::InvalidInput`] if the fleet is empty, its
-    /// tours disagree on the number of rays, or `cap` is invalid.
+    /// tours disagree on the number of rays, `cap` is not positive and
+    /// finite, or a first-visit constant within the cap overflows
+    /// `f64` (a horizon too deep for the fleet's turning-point growth).
     pub fn from_log_fleet(fleet: &[LogTourItinerary], cap: f64) -> Result<Self, McError> {
         let Some(first) = fleet.first() else {
             return Err(McError::invalid("fleet must have at least one robot"));
         };
-        let mut table = VisitTable::new(first.num_rays())?;
+        let mut builder = FleetBuilder::new(first.num_rays(), cap)?;
         for tour in fleet {
-            table.push_log_tour(tour, cap)?;
+            builder.push_log_tour(tour)?;
         }
-        Ok(table)
+        Ok(Arc::new(builder.finish()).into())
     }
 
-    /// Materializes a table from a shared
-    /// [`CompiledFleet`](raysearch_core::CompiledFleet) artifact.
-    ///
-    /// The artifact's pieces were produced by the same
-    /// [`compile_first_visit_pieces`](raysearch_core::compile_first_visit_pieces)
-    /// this table's own builders use, so the resulting table answers
-    /// bit-for-bit like one built fresh from the same tours — this is
-    /// how Monte-Carlo estimation piggybacks on fleets already compiled
-    /// by the exact evaluator or the serving layer.
-    pub fn from_compiled(fleet: &raysearch_core::CompiledFleet) -> Self {
-        let m = fleet.num_rays();
-        let mut pieces = Vec::with_capacity(fleet.num_robots() * m);
-        for robot in 0..fleet.num_robots() {
-            for ray in 0..m {
-                pieces.push(fleet.pieces(robot, ray).collect());
-            }
-        }
-        VisitTable { m, pieces }
+    /// A table over a copy of `fleet`. To share an artifact already
+    /// held in an [`Arc`] (a compile-cache entry), convert the `Arc`
+    /// itself with [`From`] instead: no piece is copied.
+    pub fn from_compiled(fleet: &CompiledFleet) -> Self {
+        Arc::new(fleet.clone()).into()
     }
 
     /// Number of robots in the compiled fleet.
     pub fn num_robots(&self) -> usize {
-        self.pieces.len() / self.m
+        self.fleet.num_robots()
     }
 
     /// Number of rays.
     pub fn num_rays(&self) -> usize {
-        self.m
+        self.fleet.num_rays()
     }
 
     /// First-visit time of `robot` to a target at distance `x` on `ray`,
     /// or `None` if the robot's plan never reaches it.
     #[inline]
     pub fn first_visit(&self, robot: usize, ray: usize, x: f64) -> Option<f64> {
-        let per_ray = &self.pieces[robot * self.m + ray];
-        let idx = per_ray.partition_point(|p| p.lo < x);
-        if idx == 0 {
-            return None;
-        }
-        let p = &per_ray[idx - 1];
-        (x <= p.hi).then_some(p.c + x)
+        self.fleet.first_visit(robot, ray, x)
     }
 
     /// All piece boundaries on `ray` strictly inside `(lo, hi)`, sorted
     /// and deduplicated — the exact adversary's candidate target set,
-    /// used by the adversarial-grid replay sampler.
-    pub fn boundaries_on_ray(&self, ray: usize, lo: f64, hi: f64) -> Vec<f64> {
-        let mut bs: Vec<f64> = Vec::new();
-        for robot in 0..self.num_robots() {
-            for p in &self.pieces[robot * self.m + ray] {
-                for b in [p.lo, p.hi] {
-                    if b > lo && b < hi {
-                        bs.push(b);
-                    }
-                }
-            }
-        }
-        bs.sort_by(f64::total_cmp);
-        bs.dedup();
-        bs
+    /// used by the adversarial-grid replay sampler. A slice of the
+    /// boundaries the artifact prepared at compile time.
+    pub fn boundaries_on_ray(&self, ray: usize, lo: f64, hi: f64) -> &[f64] {
+        self.fleet.boundaries(ray, lo, hi)
+    }
+}
+
+impl From<Arc<CompiledFleet>> for VisitTable {
+    /// Shares a compiled artifact — how Monte-Carlo estimation
+    /// piggybacks on fleets already compiled by the exact evaluator or
+    /// the serving layer, bit-for-bit like a table built fresh.
+    fn from(fleet: Arc<CompiledFleet>) -> Self {
+        VisitTable { fleet }
     }
 }
 
@@ -338,22 +247,24 @@ mod tests {
     }
 
     #[test]
-    fn streaming_builder_validates() {
-        assert!(VisitTable::new(0).is_err());
-        let mut table = VisitTable::new(2).unwrap();
-        let three_ray = CyclicExponential::optimal(3, 4, 1)
-            .unwrap()
-            .log_tour(raysearch_sim::RobotId(0), 100.0)
-            .unwrap();
-        assert!(table.push_log_tour(&three_ray, 100.0).is_err());
+    fn log_fleet_validates() {
+        assert!(VisitTable::from_log_fleet(&[], 10.0).is_err());
         let two_ray = CyclicExponential::optimal(2, 3, 1)
             .unwrap()
-            .log_tour(raysearch_sim::RobotId(0), 100.0)
+            .fleet_log_tours(100.0)
             .unwrap();
-        assert!(table.push_log_tour(&two_ray, f64::INFINITY).is_err());
-        assert!(table.push_log_tour(&two_ray, 100.0).is_ok());
-        assert_eq!(table.num_robots(), 1);
-        assert!(VisitTable::from_log_fleet(&[], 10.0).is_err());
+        assert!(VisitTable::from_log_fleet(&two_ray, f64::INFINITY).is_err());
+        assert!(VisitTable::from_log_fleet(&two_ray, 0.0).is_err());
+        let mut mixed = two_ray.clone();
+        mixed.push(
+            CyclicExponential::optimal(3, 4, 1)
+                .unwrap()
+                .log_tour(raysearch_sim::RobotId(0), 100.0)
+                .unwrap(),
+        );
+        assert!(VisitTable::from_log_fleet(&mixed, 100.0).is_err());
+        let table = VisitTable::from_log_fleet(&two_ray, 100.0).unwrap();
+        assert_eq!((table.num_robots(), table.num_rays()), (3, 2));
     }
 
     #[test]

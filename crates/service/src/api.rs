@@ -452,7 +452,9 @@ impl ServiceState {
     pub fn with_jobs(capacity: usize, shards: usize, jobs: JobConfig) -> Self {
         ServiceState {
             cache: ShardedLru::new(capacity, shards),
-            compile: ShardedLru::new(COMPILE_CACHE_CAPACITY, COMPILE_CACHE_SHARDS),
+            compile: ShardedLru::weighted(COMPILE_CACHE_CAPACITY, COMPILE_CACHE_SHARDS, |fleet| {
+                fleet.heap_bytes() as u64
+            }),
             started: Instant::now(),
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -674,6 +676,10 @@ impl ServiceState {
             "compile_entries".to_owned(),
             serde_json::to_value(compile.entries as u64).expect("u64 serializes"),
         );
+        doc.insert(
+            "compile_bytes".to_owned(),
+            serde_json::to_value(self.compile.weight()).expect("u64 serializes"),
+        );
         let jobs = self.jobs.snapshot();
         let mut jobs_doc = Map::new();
         for (name, value) in [
@@ -756,6 +762,12 @@ impl ServiceState {
             "raysearchd_compile_entries",
             "Compiled-fleet artifacts currently resident.",
             compile.entries as u64,
+        );
+        push_gauge(
+            &mut out,
+            "raysearchd_compile_bytes",
+            "Heap bytes held by the resident compiled-fleet artifacts.",
+            self.compile.weight(),
         );
         let jobs = self.jobs.snapshot();
         push_counter(

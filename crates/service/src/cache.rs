@@ -12,7 +12,9 @@
 //!
 //! Counters (hits, misses, evictions) are global atomics surfaced by the
 //! `/stats` endpoint, which is also how the integration tests prove that
-//! repeated identical requests are served from cache.
+//! repeated identical requests are served from cache. A cache built
+//! with [`ShardedLru::weighted`] also keeps the total weight (say, heap
+//! bytes) of its resident values.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -52,6 +54,17 @@ struct Shard<K, V> {
 struct Entry<V> {
     value: V,
     last_used: u64,
+    /// The value's weight, taken once on insertion.
+    weight: u64,
+}
+
+/// What one [`Shard::insert`] changed.
+#[derive(Debug, Default)]
+struct Inserted {
+    evicted: u64,
+    grew: usize,
+    added_weight: u64,
+    removed_weight: u64,
 }
 
 impl<K: Hash + Eq + Clone, V> Shard<K, V> {
@@ -64,16 +77,19 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
         })
     }
 
-    /// Inserts `value`, evicting the least-recently-used entry if the
-    /// shard is at capacity. A zero-capacity shard (possible when the
-    /// total capacity is below the shard count) retains nothing.
-    /// Returns `(evictions, net entry growth)`.
-    fn insert(&mut self, key: K, value: V) -> (u64, usize) {
+    /// Inserts `value` of the given `weight`, evicting the
+    /// least-recently-used entry if the shard is at capacity. A
+    /// zero-capacity shard (possible when the total capacity is below
+    /// the shard count) retains nothing.
+    fn insert(&mut self, key: K, value: V, weight: u64) -> Inserted {
         if self.capacity == 0 {
-            return (0, 0);
+            return Inserted::default();
         }
         self.tick += 1;
-        let mut evicted = 0;
+        let mut out = Inserted {
+            added_weight: weight,
+            ..Inserted::default()
+        };
         let is_new = !self.map.contains_key(&key);
         if is_new && self.map.len() >= self.capacity {
             if let Some(oldest) = self
@@ -82,18 +98,22 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                self.map.remove(&oldest);
-                evicted = 1;
+                if let Some(gone) = self.map.remove(&oldest) {
+                    out.removed_weight += gone.weight;
+                }
+                out.evicted = 1;
             }
         }
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: self.tick,
-            },
-        );
-        (evicted, usize::from(is_new) - evicted as usize)
+        let entry = Entry {
+            value,
+            last_used: self.tick,
+            weight,
+        };
+        if let Some(replaced) = self.map.insert(key, entry) {
+            out.removed_weight += replaced.weight;
+        }
+        out.grew = usize::from(is_new) - out.evicted as usize;
+        out
     }
 }
 
@@ -123,6 +143,10 @@ pub struct ShardedLru<K, V> {
     /// the `/stats` endpoint built on it) never waits on a shard lock —
     /// in particular not on one held across a slow cold computation.
     entries: AtomicUsize,
+    /// Weighs a value on insertion (`0` for an unweighted cache).
+    weigh: fn(&V) -> u64,
+    /// Total weight of the resident values, maintained like `entries`.
+    weight: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
@@ -136,6 +160,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     ///
     /// Panics if `shards` or `capacity` is zero.
     pub fn new(capacity: usize, shards: usize) -> Self {
+        Self::weighted(capacity, shards, |_| 0)
+    }
+
+    /// [`Self::new`], also keeping the total weight of the resident
+    /// values as measured by `weigh` (read with [`Self::weight`]). Each
+    /// value is weighed once, when it is inserted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` or `capacity` is zero.
+    pub fn weighted(capacity: usize, shards: usize, weigh: fn(&V) -> u64) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(capacity > 0, "need a nonzero capacity");
         let base = capacity / shards;
@@ -155,6 +190,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             entries: AtomicUsize::new(0),
+            weigh,
+            weight: AtomicU64::new(0),
         }
     }
 
@@ -186,10 +223,21 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// Inserts `key → value` unconditionally, evicting the shard's LRU
     /// entry if it is full. Does not count a hit or a miss.
     pub fn insert(&self, key: K, value: V) {
+        let weight = (self.weigh)(&value);
         let mut shard = self.shards[self.shard_index(&key)].lock();
-        let (evicted, grew) = shard.insert(key, value);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.entries.fetch_add(grew, Ordering::Relaxed);
+        let inserted = shard.insert(key, value, weight);
+        self.record(&inserted);
+    }
+
+    /// Publishes one shard insert's effect on the lock-free counters.
+    fn record(&self, inserted: &Inserted) {
+        self.evictions
+            .fetch_add(inserted.evicted, Ordering::Relaxed);
+        self.entries.fetch_add(inserted.grew, Ordering::Relaxed);
+        self.weight
+            .fetch_add(inserted.added_weight, Ordering::Relaxed);
+        self.weight
+            .fetch_sub(inserted.removed_weight, Ordering::Relaxed);
     }
 
     /// Returns the cached value for `key`, computing and inserting it on
@@ -230,9 +278,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = compute()?;
-        let (evicted, grew) = shard.insert(key, value.clone());
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.entries.fetch_add(grew, Ordering::Relaxed);
+        let inserted = shard.insert(key, value.clone(), (self.weigh)(&value));
+        self.record(&inserted);
         Ok((value, false))
     }
 
@@ -241,6 +288,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// computation holding a shard lock.
     pub fn len(&self) -> usize {
         self.entries.load(Ordering::Relaxed)
+    }
+
+    /// Total weight of the resident values (always `0` unless the cache
+    /// was built with [`Self::weighted`]). Lock-free, like [`Self::len`].
+    pub fn weight(&self) -> u64 {
+        self.weight.load(Ordering::Relaxed)
     }
 
     /// Whether the cache holds no entries.
@@ -253,8 +306,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         for shard in &self.shards {
             let mut shard = shard.lock();
             let dropped = shard.map.len();
+            let weight: u64 = shard.map.values().map(|e| e.weight).sum();
             shard.map.clear();
             self.entries.fetch_sub(dropped, Ordering::Relaxed);
+            self.weight.fetch_sub(weight, Ordering::Relaxed);
         }
     }
 
@@ -412,6 +467,24 @@ mod tests {
             tiny.insert(k, k);
         }
         assert!(tiny.len() <= 2, "tiny cache exceeded its budget");
+    }
+
+    #[test]
+    fn weight_follows_inserts_overwrites_evictions_and_clears() {
+        let cache: ShardedLru<u64, u64> = ShardedLru::weighted(2, 1, |v| *v);
+        cache.insert(1, 10);
+        cache.insert(2, 20);
+        assert_eq!(cache.weight(), 30);
+        cache.insert(1, 11); // overwrite: the old weight leaves
+        assert_eq!(cache.weight(), 31);
+        cache.get_or_insert_with(3, || 5); // evicts 2, the LRU entry
+        assert_eq!(cache.weight(), 16);
+        cache.clear();
+        assert_eq!(cache.weight(), 0);
+        // an unweighted cache reports zero
+        let plain = single(4);
+        plain.insert(1, 100);
+        assert_eq!(plain.weight(), 0);
     }
 
     #[test]

@@ -326,6 +326,14 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
         "stats should report resident compiled fleets",
         &stats_after,
     )?;
+    expect(
+        stats_after
+            .get("compile_bytes")
+            .and_then(Value::as_u64)
+            .is_some_and(|bytes| bytes > 0),
+        "stats should report the compiled fleets' heap bytes",
+        &stats_after,
+    )?;
     pass(format!(
         "compile cache: k=768 f=1→f=3 reused one zone fleet ({} hits, {} entries)",
         compile_hits(&stats_after),

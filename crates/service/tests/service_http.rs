@@ -144,6 +144,37 @@ fn repeated_requests_hit_the_cache_per_stats() {
 }
 
 #[test]
+fn compile_bytes_report_the_resident_artifacts() {
+    let (handle, addr) = spawn_server();
+    let bytes_of = |addr: &str| {
+        let (_, doc) = fetch_json(addr, "GET", "/stats", None).unwrap();
+        doc.get("compile_bytes").and_then(Value::as_u64).unwrap()
+    };
+    assert_eq!(bytes_of(&addr), 0, "nothing compiled yet");
+
+    let body = r#"{"m":2,"k":5,"f":2,"horizon":1e4}"#;
+    let (status, _) = fetch_json(&addr, "POST", "/evaluate", Some(body)).unwrap();
+    assert_eq!(status, 200);
+    let one = bytes_of(&addr);
+    assert!(one > 0, "a compiled fleet holds heap bytes");
+    // a /verdict on the same geometry reuses the artifact
+    let body = r#"{"m":2,"k":5,"f":2,"horizon":1e4,"eps":0.01}"#;
+    let _ = fetch_json(&addr, "POST", "/verdict", Some(body)).unwrap();
+    assert_eq!(bytes_of(&addr), one, "a compile hit adds no bytes");
+
+    // /metrics exports the same level as a gauge
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, text) = client.request("GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        text.contains("# TYPE raysearchd_compile_bytes gauge")
+            && text.contains(&format!("raysearchd_compile_bytes {one}")),
+        "missing compile_bytes gauge in:\n{text}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn canonicalized_keys_share_one_entry() {
     let (handle, addr) = spawn_server();
     // three spellings of the same instance: float, int, exponent form
