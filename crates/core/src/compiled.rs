@@ -18,7 +18,10 @@
 //!   `Vec<FirstVisitPiece>`s, plus each ray's prepared event sweep
 //!   (sorted events with precomputed constant ranks, distinct
 //!   constants, distinct boundaries), so a warm evaluation is one
-//!   Fenwick pass per ray with no sorting;
+//!   linear pass per ray with no sorting: a rank pointer over per-rank
+//!   counts tracks the `(f+1)`-st smallest active constant, and since
+//!   the tiled pieces' order statistic never falls after the first
+//!   probe, it only climbs, in O(events + constants);
 //! * [`FleetBuilder`] — streaming construction, one tour at a time,
 //!   through the *same* single-pass compilation the evaluator always
 //!   used (bit-for-bit identical pieces); [`FleetBuilder::finish`]
@@ -99,7 +102,12 @@ pub enum FleetKey {
 /// and the distinct piece boundaries. Building them costs one pair of
 /// run-merging sorts per ray at compile time, and roughly doubles the
 /// artifact's bytes ([`CompiledFleet::heap_bytes`]); in exchange a warm
-/// evaluation, for any `f`, is one linear pass of Fenwick updates.
+/// evaluation, for any `f`, is one linear pass over the events. Each
+/// robot's pieces tile `(0, reach]` with nondecreasing constants, so
+/// after the first probe an event only swaps a robot's constant for a
+/// larger one or drops the robot: the `(f+1)`-st order statistic never
+/// falls, and the pass keeps it with a rank pointer that only climbs,
+/// in O(events + constants).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFleet {
     m: usize,

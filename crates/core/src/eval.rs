@@ -109,67 +109,33 @@ pub fn compile_first_visit_pieces(
     Ok(pieces)
 }
 
-/// The first-visit function of one robot on one side/ray.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Pieces {
-    /// Sorted by `lo`; `lo` values strictly increase and intervals are
-    /// disjoint by construction.
-    pieces: Vec<FirstVisitPiece>,
+/// The first-visit pieces of one line itinerary on the given side: they
+/// tile `(0, reach]` left to right, so at most one holds a target.
+fn line_pieces(itinerary: &LineItinerary, side: Direction) -> Vec<FirstVisitPiece> {
+    let mut pieces = Vec::new();
+    let mut reach = 0.0f64; // furthest distance visited on `side`
+    let mut prefix = 0.0f64; // sum of turn magnitudes before current leg
+    for signed in itinerary.signed_turns() {
+        let magnitude = signed.abs();
+        let on_side = (signed > 0.0) == (side == Direction::Positive);
+        if on_side && magnitude > reach {
+            pieces.push(FirstVisitPiece {
+                lo: reach,
+                hi: magnitude,
+                c: 2.0 * prefix,
+            });
+            reach = magnitude;
+        }
+        prefix += magnitude;
+    }
+    pieces
 }
 
-impl Pieces {
-    /// Builds the pieces for a line itinerary on the given side.
-    fn from_line(itinerary: &LineItinerary, side: Direction) -> Pieces {
-        let mut pieces = Vec::new();
-        let mut reach = 0.0f64; // furthest distance visited on `side`
-        let mut prefix = 0.0f64; // sum of turn magnitudes before current leg
-        for (i, signed) in itinerary.signed_turns().enumerate() {
-            let magnitude = signed.abs();
-            let on_side = (signed > 0.0) == (side == Direction::Positive);
-            if on_side && magnitude > reach {
-                pieces.push(FirstVisitPiece {
-                    lo: reach,
-                    hi: magnitude,
-                    c: 2.0 * prefix,
-                });
-                reach = magnitude;
-            }
-            let _ = i;
-            prefix += magnitude;
-        }
-        Pieces { pieces }
-    }
-
-    /// Builds the pieces for a tour on the given ray.
-    fn from_tour(tour: &TourItinerary, ray: usize) -> Pieces {
-        let mut pieces = Vec::new();
-        let mut reach = 0.0f64;
-        let mut prefix = 0.0f64;
-        for e in tour.excursions() {
-            if e.ray.index() == ray && e.turn > reach {
-                pieces.push(FirstVisitPiece {
-                    lo: reach,
-                    hi: e.turn,
-                    c: 2.0 * prefix,
-                });
-                reach = e.turn;
-            }
-            prefix += e.turn;
-        }
-        Pieces { pieces }
-    }
-
-    /// The first-visit constant for a target at `x` (`lo < x ≤ hi`), or
-    /// `None` if the plan never reaches `x`.
-    fn constant_at(&self, x: f64) -> Option<f64> {
-        // binary search on lo
-        let idx = self.pieces.partition_point(|p| p.lo < x);
-        if idx == 0 {
-            return None;
-        }
-        let p = &self.pieces[idx - 1];
-        (x <= p.hi).then_some(p.c)
-    }
+/// The `(f+1)`-st smallest of `times`, or `None` if there are fewer:
+/// the crash adversary's detection time of one target.
+fn order_statistic(mut times: Vec<f64>, f: u32) -> Option<f64> {
+    times.sort_by(f64::total_cmp);
+    times.get(f as usize).copied()
 }
 
 /// The target realizing (in the limit) the worst-case ratio.
@@ -362,46 +328,6 @@ impl SupAccum {
     }
 }
 
-/// A Fenwick (binary indexed) tree of counts over constant ranks,
-/// supporting point updates and order-statistic selection.
-struct Fenwick {
-    tree: Vec<i64>,
-}
-
-impl Fenwick {
-    fn new(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Adds `delta` to index `i` (0-based).
-    fn add(&mut self, i: usize, delta: i64) {
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// The smallest 0-based index whose prefix count reaches `k`
-    /// (1-based rank). Precondition: the total count is at least `k`.
-    fn select(&self, mut k: i64) -> usize {
-        let n = self.tree.len() - 1;
-        let mut pos = 0usize;
-        let mut mask = n.next_power_of_two();
-        while mask > 0 {
-            let next = pos + mask;
-            if next <= n && self.tree[next] < k {
-                k -= self.tree[next];
-                pos = next;
-            }
-            mask >>= 1;
-        }
-        pos
-    }
-}
-
 /// One ray's event sweep, prepared once: everything the exact sup needs
 /// that depends neither on the fault budget `f` nor on the evaluation
 /// range.
@@ -421,8 +347,13 @@ impl Fenwick {
 /// * `codes` — `rank << 1`, with the low bit set on a deactivation;
 /// * `constants` — the distinct constants, ascending: rank → value.
 ///
-/// [`RaySweep::sup`] is then one left-to-right pass of Fenwick
-/// updates with one order-statistic selection per boundary.
+/// [`RaySweep::sup`] is then one left-to-right pass over the events,
+/// keeping the `(f+1)`-st smallest active constant with a rank pointer
+/// over per-rank counts. Each robot's pieces tile `(0, reach]` with
+/// nondecreasing constants, so once every robot is active an event
+/// either swaps a robot's constant for a larger one or drops the robot:
+/// the order statistic never falls, the pointer only climbs, and a pass
+/// costs O(events + constants).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RaySweep {
     bounds: Vec<f64>,
@@ -543,17 +474,31 @@ impl RaySweep {
     /// with a per-robot lookup and selecting the `(f+1)`-st smallest
     /// active constant: the boundary candidates are `lo` plus the piece
     /// boundaries inside `(lo, hi)`, each probed at the midpoint to its
-    /// successor, and the Fenwick tree over constant ranks holds the
-    /// active multiset at that probe. Since a robot's pieces on a ray
+    /// successor, and `counts[r]` holds how many active pieces have
+    /// constant rank `r` at that probe. Since a robot's pieces on a ray
     /// tile `(0, reach]` disjointly, the active piece count at a probe
     /// equals the number of robots whose plan covers it, so coverage
     /// and selection agree exactly with the per-robot scan, bit for bit.
+    ///
+    /// The selection is a pointer `rank` with `below` active pieces
+    /// ranked under it: at each probe it steps down while `below`
+    /// already reaches `f+1`, then up while `below + counts[rank]` falls
+    /// short, landing on the smallest rank whose prefix count reaches
+    /// `f+1`. Any input order is correct; on tiled input (every
+    /// constructor in this crate) the order statistic is nondecreasing
+    /// after the first probe, the downward step never runs, and the
+    /// pointer's total travel is at most the number of distinct
+    /// constants. Without that step an untiled input would leave a
+    /// stale, too-large constant, which an earlier probe's ratio
+    /// dominates except at rounding edges, so it stays for exactness.
     fn sup(&self, f: u32, lo: f64, hi: f64, ray: usize, acc: &mut SupAccum) {
         let needed = f as usize + 1;
         let inner = self.boundaries(lo, hi);
         acc.examined += 1 + inner.len();
-        let mut counts = Fenwick::new(self.constants.len());
-        let mut active = 0i64;
+        let mut counts = vec![0u32; self.constants.len()];
+        let mut rank = 0usize;
+        let mut below = 0usize;
+        let mut active = 0usize;
         let mut next_event = 0usize;
         let mut b = lo;
         for i in 0..=inner.len() {
@@ -566,13 +511,20 @@ impl RaySweep {
             while next_event < self.bounds.len() && self.bounds[next_event] < probe {
                 let at = self.offsets[next_event] as usize..self.offsets[next_event + 1] as usize;
                 for &code in &self.codes[at] {
-                    let delta = 1 - 2 * i64::from(code & 1);
-                    counts.add((code >> 1) as usize, delta);
-                    active += delta;
+                    let r = (code >> 1) as usize;
+                    if code & 1 == 0 {
+                        counts[r] += 1;
+                        active += 1;
+                        below += usize::from(r < rank);
+                    } else {
+                        counts[r] -= 1;
+                        active -= 1;
+                        below -= usize::from(r < rank);
+                    }
                 }
                 next_event += 1;
             }
-            if (active as usize) < needed {
+            if active < needed {
                 if acc.uncovered.is_none() {
                     acc.uncovered = Some(WorstTarget {
                         ray,
@@ -581,19 +533,23 @@ impl RaySweep {
                     });
                 }
             } else {
-                // the (f+1)-st smallest active constant, straight off the tree
-                let c = self.constants[counts.select(needed as i64)];
+                // move the pointer to the (f+1)-st smallest active constant
+                while below >= needed {
+                    rank -= 1;
+                    below -= counts[rank] as usize;
+                }
+                while below + (counts[rank] as usize) < needed {
+                    below += counts[rank] as usize;
+                    rank += 1;
+                }
+                let c = self.constants[rank];
                 let candidate = WorstTarget {
                     ray,
                     x: b,
                     detection_limit: c + b,
                 };
                 let ratio = candidate.detection_limit / candidate.x;
-                let better = match &acc.best {
-                    Some(w) => ratio > w.detection_limit / w.x,
-                    None => true,
-                };
-                if better {
+                if acc.best.is_none_or(|w| ratio > w.detection_limit / w.x) {
                     acc.best = Some(candidate);
                 }
             }
@@ -652,12 +608,8 @@ impl LineEvaluator {
         }
         let mut acc = SupAccum::default();
         for (ray, side) in [(0, Direction::Positive), (1, Direction::Negative)] {
-            RaySweep::from_pieces(
-                fleet
-                    .iter()
-                    .flat_map(|it| Pieces::from_line(it, side).pieces),
-            )
-            .sup(self.f, self.lo, self.hi, ray, &mut acc);
+            RaySweep::from_pieces(fleet.iter().flat_map(|it| line_pieces(it, side)))
+                .sup(self.f, self.lo, self.hi, ray, &mut acc);
         }
         Ok(acc.into_report())
     }
@@ -684,20 +636,16 @@ impl LineEvaluator {
         } else {
             Direction::Negative
         };
-        let mut times: Vec<f64> = fleet
+        let x = x.abs();
+        let times = fleet
             .iter()
             .filter_map(|it| {
-                Pieces::from_line(it, side)
-                    .constant_at(x.abs())
-                    .map(|c| c + x.abs())
+                let pieces = line_pieces(it, side);
+                let p = pieces.iter().find(|p| p.lo < x && x <= p.hi)?;
+                Some(p.c + x)
             })
             .collect();
-        let needed = self.f as usize + 1;
-        if times.len() < needed {
-            return Ok(None);
-        }
-        times.sort_by(f64::total_cmp);
-        Ok(Some(times[needed - 1]))
+        Ok(order_statistic(times, self.f))
     }
 }
 
@@ -800,8 +748,10 @@ impl RayEvaluator {
     /// artifact — the compile-once/evaluate-many path every ray
     /// evaluator ends in. Nothing is sorted here: each ray's events,
     /// constant ranks and boundaries were prepared when the artifact
-    /// was built, so this is one Fenwick pass per ray over the
-    /// boundaries in range, for any `f`.
+    /// was built, so this is one linear pass per ray over the events
+    /// and boundaries in range, for any `f`: a rank pointer that only
+    /// climbs on the artifact's tiled pieces tracks the `(f+1)`-st
+    /// smallest active constant in O(events + constants).
     ///
     /// # Errors
     ///
@@ -840,12 +790,14 @@ impl RayEvaluator {
         Ok(acc.into_report())
     }
 
-    /// Exact adversarial detection time of a target on a given ray.
+    /// Exact adversarial detection time of a target on a given ray: the
+    /// fleet compiled through [`FleetBuilder::push_tour`], then one
+    /// [`CompiledFleet::first_visit`] lookup per robot.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidInput`] on an out-of-range ray or
-    /// `x < 1`.
+    /// Returns [`CoreError::InvalidInput`] on an out-of-range ray,
+    /// `x < 1`, or a tour for the wrong number of rays.
     pub fn detection_time(
         &self,
         fleet: &[TourItinerary],
@@ -863,16 +815,15 @@ impl RayEvaluator {
                 "target must satisfy x >= 1, got {x}"
             )));
         }
-        let mut times: Vec<f64> = fleet
-            .iter()
-            .filter_map(|t| Pieces::from_tour(t, ray).constant_at(x).map(|c| c + x))
-            .collect();
-        let needed = self.f as usize + 1;
-        if times.len() < needed {
-            return Ok(None);
+        let mut builder = FleetBuilder::new(self.m, self.hi)?;
+        for tour in fleet {
+            builder.push_tour(tour)?;
         }
-        times.sort_by(f64::total_cmp);
-        Ok(Some(times[needed - 1]))
+        let compiled = builder.finish();
+        let times = (0..compiled.num_robots())
+            .filter_map(|robot| compiled.first_visit(robot, ray, x))
+            .collect();
+        Ok(order_statistic(times, self.f))
     }
 }
 
@@ -1043,6 +994,188 @@ mod tests {
                     assert!((a - b).abs() < 1e-9, "x={x}: {a} vs {b}");
                 }
                 (a, b) => panic!("x={x}: symbolic {a:?} vs engine {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn ray_detection_time_matches_a_per_robot_tour_walk() {
+        let fleet = CyclicExponential::optimal(3, 5, 1)
+            .unwrap()
+            .fleet_tours(1e4)
+            .unwrap();
+        // a robot first reaches x on `ray` on its first excursion there
+        // that turns at or past x, after twice the turning mass before it
+        let first_visit = |tour: &TourItinerary, ray: usize, x: f64| {
+            let mut elapsed = 0.0f64;
+            for e in tour.excursions() {
+                if e.ray.index() == ray && e.turn >= x {
+                    return Some(elapsed + x);
+                }
+                elapsed += 2.0 * e.turn;
+            }
+            None
+        };
+        for f in 0..5u32 {
+            let evaluator = RayEvaluator::new(3, f, 1.0, 1e3).unwrap();
+            for ray in 0..3 {
+                for &x in &[1.0, 2.5, 7.3, 41.0, 333.0, 5e3] {
+                    let times = fleet.iter().filter_map(|t| first_visit(t, ray, x));
+                    let truth = order_statistic(times.collect(), f);
+                    let fast = evaluator.detection_time(&fleet, ray, x).unwrap();
+                    assert_eq!(
+                        fast.map(f64::to_bits),
+                        truth.map(f64::to_bits),
+                        "f={f}, ray {ray}, x={x}"
+                    );
+                }
+            }
+        }
+        let e = RayEvaluator::new(3, 1, 1.0, 1e3).unwrap();
+        assert!(e.detection_time(&fleet, 3, 5.0).is_err());
+        assert!(e.detection_time(&fleet, 0, 0.5).is_err());
+    }
+
+    /// The sweep's answer by brute force: every probe's active
+    /// constants collected and sorted afresh.
+    fn brute_force_sup(pieces: &[FirstVisitPiece], f: u32, lo: f64, hi: f64) -> EvalReport {
+        let mut inner: Vec<f64> = pieces
+            .iter()
+            .flat_map(|p| [p.lo, p.hi])
+            .filter(|&b| lo < b && b < hi)
+            .collect();
+        inner.sort_by(f64::total_cmp);
+        inner.dedup();
+        let mut acc = SupAccum {
+            examined: 1 + inner.len(),
+            ..SupAccum::default()
+        };
+        let starts = std::iter::once(lo).chain(inner.iter().copied());
+        let ends = inner.iter().copied().chain(std::iter::once(hi));
+        for (b, next) in starts.zip(ends) {
+            let probe = 0.5 * (b + next);
+            let active = pieces.iter().filter(|p| p.lo < probe && probe <= p.hi);
+            match order_statistic(active.map(|p| p.c).collect(), f) {
+                None => {
+                    acc.uncovered.get_or_insert(WorstTarget {
+                        ray: 0,
+                        x: probe,
+                        detection_limit: f64::INFINITY,
+                    });
+                }
+                Some(c) => {
+                    let ratio = (c + b) / b;
+                    if acc.best.is_none_or(|w| ratio > w.detection_limit / w.x) {
+                        acc.best = Some(WorstTarget {
+                            ray: 0,
+                            x: b,
+                            detection_limit: c + b,
+                        });
+                    }
+                }
+            }
+        }
+        acc.into_report()
+    }
+
+    #[test]
+    fn sweep_matches_brute_force_on_untiled_pieces() {
+        let piece = |lo: f64, hi: f64, c: f64| FirstVisitPiece { lo, hi, c };
+        // robots as piece lists that break the tiling of (0, reach] with
+        // nondecreasing constants, the input that makes the pointer step down
+        let mut cases: Vec<Vec<Vec<FirstVisitPiece>>> = vec![
+            // a late activation below the current order statistic
+            vec![
+                vec![piece(0.0, f64::INFINITY, 10.0)],
+                vec![piece(0.0, f64::INFINITY, 20.0)],
+                vec![piece(5.0, f64::INFINITY, 1.0)],
+            ],
+            // pure activations at positive positions, descending constants
+            (1..=6)
+                .map(|i| {
+                    vec![piece(
+                        f64::from(i * 3),
+                        f64::INFINITY,
+                        f64::from(60 - 9 * i),
+                    )]
+                })
+                .collect(),
+            // gaps within a robot
+            vec![
+                vec![piece(0.0, 4.0, 2.0), piece(9.0, 20.0, 3.0)],
+                vec![piece(2.0, 6.0, 8.0), piece(12.0, 30.0, 1.0)],
+                vec![piece(1.0, 25.0, 5.0)],
+            ],
+            // constants that fall within a robot's tiling
+            vec![
+                vec![
+                    piece(0.0, 3.0, 30.0),
+                    piece(3.0, 11.0, 4.0),
+                    piece(11.0, 40.0, 0.5),
+                ],
+                vec![piece(0.0, 8.0, 6.0), piece(8.0, 40.0, 2.0)],
+                vec![piece(0.0, 40.0, 7.0)],
+            ],
+            // a pointer left above the order statistic repeats an earlier
+            // probe's constant at a larger x, whose ratio the earlier one
+            // dominates, except at a rounding edge like this one: with f = 0
+            // a stale 2^-53 would turn the exact ratio 1 at 1 + 2^-52 into
+            // 1 + 2^-52
+            vec![
+                vec![piece(0.0, f64::INFINITY, f64::EPSILON / 2.0)],
+                vec![piece(1.0 + f64::EPSILON, f64::INFINITY, 0.0)],
+            ],
+        ];
+        // seeded random robots on a coarse grid, so positions and
+        // constants collide, with all of the above mixed in
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..40 {
+            let robots = 1 + next(6);
+            let fleet = (0..robots)
+                .map(|_| {
+                    let mut at = 0.5 * next(8) as f64;
+                    (0..1 + next(4))
+                        .map(|_| {
+                            let lo = at;
+                            at = lo + 0.5 * (1 + next(12)) as f64;
+                            let hi = if next(5) == 0 { f64::INFINITY } else { at };
+                            at += 0.5 * next(3) as f64;
+                            piece(lo, hi, next(10) as f64)
+                        })
+                        .collect()
+                })
+                .collect();
+            cases.push(fleet);
+        }
+        for (i, robots) in cases.iter().enumerate() {
+            let mut order: Vec<&Vec<FirstVisitPiece>> = robots.iter().collect();
+            for shuffle in [false, true] {
+                if shuffle {
+                    // a fixed derangement-ish shuffle of the robot order
+                    let half = order.len() / 2;
+                    order.reverse();
+                    order.rotate_left(half);
+                }
+                let pieces: Vec<FirstVisitPiece> =
+                    order.iter().flat_map(|r| r.iter().copied()).collect();
+                let sweep = RaySweep::from_pieces(pieces.iter().copied());
+                for f in 0..4u32 {
+                    for (lo, hi) in [(1.0, 2.0), (1.0, 9.5), (1.0, 45.0), (2.25, 17.0)] {
+                        let mut acc = SupAccum::default();
+                        sweep.sup(f, lo, hi, 0, &mut acc);
+                        let got = acc.into_report();
+                        let want = brute_force_sup(&pieces, f, lo, hi);
+                        let ctx = format!("case {i}, shuffled {shuffle}, f={f}, [{lo}, {hi}]");
+                        assert_eq!(got.ratio.to_bits(), want.ratio.to_bits(), "{ctx}");
+                        assert_eq!(got, want, "{ctx}");
+                    }
+                }
             }
         }
     }

@@ -87,13 +87,6 @@ impl VisitTable {
         Ok(Arc::new(builder.finish()).into())
     }
 
-    /// A table over a copy of `fleet`. To share an artifact already
-    /// held in an [`Arc`] (a compile-cache entry), convert the `Arc`
-    /// itself with [`From`] instead: no piece is copied.
-    pub fn from_compiled(fleet: &CompiledFleet) -> Self {
-        Arc::new(fleet.clone()).into()
-    }
-
     /// Number of robots in the compiled fleet.
     pub fn num_robots(&self) -> usize {
         self.fleet.num_robots()
@@ -242,7 +235,7 @@ mod tests {
                 .push_log_tour(&strat.log_tour_prefix(RobotId(r), 125.0).unwrap())
                 .unwrap();
         }
-        let shared = VisitTable::from_compiled(&builder.finish());
+        let shared = VisitTable::from(Arc::new(builder.finish()));
         assert_eq!(shared, streamed, "piece-for-piece identical tables");
     }
 
