@@ -25,9 +25,8 @@
 //!   the node-tagged job-id scheme behind `POST /jobs`,
 //!   `GET /jobs/{id}` (long-poll via `?wait_micros=`) and
 //!   `DELETE /jobs/{id}`;
-//! * [`client`] / [`probe`] / [`load`] — the self-client: CI smoke
-//!   probing (`raysearchd --probe`, `raysearch-router --probe`) and the
-//!   hot-vs-cold load harness (`raysearchd --bench`).
+//! * [`client`] / [`probe`] — the self-client: CI smoke probing
+//!   (`raysearchd --probe`, `raysearch-router --probe`).
 //!
 //! The scale-out tier shards requests across many `raysearchd`
 //! processes and regression-tests the whole fleet at the byte level:
@@ -39,8 +38,9 @@
 //!   handshakes (spawn / kill / respawn on fresh ephemeral ports);
 //! * [`tape`] — the record/replay tape format with normalized response
 //!   digests;
-//! * [`replay`] — deterministic tape replay (`replaygen`): concurrent
-//!   re-issue in tick order, byte-identity verification, counter
+//! * [`replay`] — deterministic tape replay (`replaygen`), the crate's
+//!   load driver: concurrent re-issue in tick order, byte-identity
+//!   verification, per-endpoint latency percentiles, and counter
 //!   fingerprints that are concurrency-invariant by construction;
 //! * [`telemetry`] — the observability layer: per-request span timing
 //!   into per-endpoint latency histograms, `x-raysearch-trace`
@@ -83,7 +83,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod load;
 pub mod probe;
 pub mod replay;
 pub mod route;

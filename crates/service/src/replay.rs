@@ -22,12 +22,33 @@ use std::time::Instant;
 use serde_json::{Map, Value};
 
 use crate::client::HttpClient;
-use crate::load::EndpointLatency;
 use crate::tape::Tape;
 use raysearch_core::telemetry::LatencyHistogram;
 
 /// How many mismatches keep their full detail line in the report.
 pub const MAX_MISMATCH_DETAILS: usize = 8;
+
+/// Client-observed latency percentiles for one endpoint of a replay
+/// pass, computed from the same log-bucketed histogram the servers use
+/// for their `/metrics` tier (so replay numbers and live metrics agree
+/// on bucketing semantics: `p ≤ reported < 2p`, max is exact).
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct EndpointLatency {
+    /// Endpoint label, the request path without its leading slash.
+    pub endpoint: String,
+    /// Requests timed into this histogram.
+    pub requests: u64,
+    /// 50th-percentile round-trip latency, microseconds.
+    pub p50_micros: u64,
+    /// 90th-percentile round-trip latency, microseconds.
+    pub p90_micros: u64,
+    /// 95th-percentile round-trip latency, microseconds.
+    pub p95_micros: u64,
+    /// 99th-percentile round-trip latency, microseconds.
+    pub p99_micros: u64,
+    /// Exact slowest round trip, microseconds.
+    pub max_micros: u64,
+}
 
 /// The outcome of one replay pass.
 #[derive(Debug, Clone, Default)]
@@ -138,28 +159,7 @@ impl ReplayReport {
         );
         doc.insert(
             "endpoints".to_owned(),
-            Value::Array(
-                self.endpoints
-                    .iter()
-                    .map(|e| {
-                        let mut obj = Map::new();
-                        obj.insert("endpoint".to_owned(), Value::String(e.endpoint.clone()));
-                        let mut uint = |name: &str, value: u64| {
-                            obj.insert(
-                                name.to_owned(),
-                                serde_json::to_value(value).expect("u64 serializes"),
-                            );
-                        };
-                        uint("requests", e.requests);
-                        uint("p50_micros", e.p50_micros);
-                        uint("p90_micros", e.p90_micros);
-                        uint("p95_micros", e.p95_micros);
-                        uint("p99_micros", e.p99_micros);
-                        uint("max_micros", e.max_micros);
-                        Value::Object(obj)
-                    })
-                    .collect(),
-            ),
+            serde_json::to_value(&self.endpoints).expect("endpoint latencies serialize"),
         );
         Value::Object(doc)
     }
@@ -407,13 +407,11 @@ mod tests {
         assert_eq!(doc.get("sheds").and_then(Value::as_u64), Some(1));
         let endpoints = doc.get("endpoints").and_then(Value::as_array).unwrap();
         assert_eq!(endpoints.len(), 1);
+        // field order is the struct's declaration order
         assert_eq!(
-            endpoints[0].get("endpoint"),
-            Some(&Value::String("evaluate".to_owned()))
-        );
-        assert_eq!(
-            endpoints[0].get("p99_micros").and_then(Value::as_u64),
-            Some(511)
+            serde_json::to_string(&endpoints[0]).unwrap(),
+            "{\"endpoint\":\"evaluate\",\"requests\":10,\"p50_micros\":127,\"p90_micros\":255,\
+             \"p95_micros\":255,\"p99_micros\":511,\"max_micros\":400}"
         );
         let hit_rate = doc.get("hit_rate").and_then(Value::as_f64).unwrap();
         assert!((hit_rate - 5.0 / 9.0).abs() < 1e-12);

@@ -115,6 +115,27 @@ fn sigkilled_backend_fails_over_without_wrong_bytes() {
     assert_eq!(healthy_pass.transport_errors, 0);
     assert_eq!(healthy_pass.sheds, 0);
     assert_eq!(state.failover_total(), 0);
+    // the pass's client-side percentiles: every endpoint timed, each
+    // ladder ordered, and every request in exactly one histogram
+    let endpoints = &healthy_pass.endpoints;
+    assert!(
+        endpoints.iter().any(|e| e.endpoint == "evaluate"),
+        "{endpoints:?}"
+    );
+    for e in endpoints {
+        assert!(e.requests > 0, "{e:?}");
+        assert!(
+            e.p50_micros <= e.p90_micros
+                && e.p90_micros <= e.p95_micros
+                && e.p95_micros <= e.p99_micros
+                && e.p99_micros <= e.max_micros,
+            "{e:?}"
+        );
+    }
+    assert_eq!(
+        endpoints.iter().map(|e| e.requests).sum::<u64>(),
+        healthy_pass.requests
+    );
 
     // --- pick the victim: the backend owning the most tape keys, so
     // the kill is guaranteed to sit in the replay's path ---

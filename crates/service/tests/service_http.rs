@@ -447,27 +447,42 @@ fn post_without_content_length_gets_a_clean_411() {
 fn large_fleet_evaluate_end_to_end() {
     let (handle, addr) = spawn_server();
     // k = 199 was unservable before the log-domain core (turn points
-    // overflowed to an error); now it serves the closed form exactly
-    let body = r#"{"m":2,"k":199,"f":99,"horizon":1e6}"#;
-    let (status, doc) = fetch_json(&addr, "POST", "/evaluate", Some(body)).unwrap();
-    assert_eq!(status, 200);
-    let ratio = result_of(&doc)
-        .get("report")
-        .and_then(|r| r.get("ratio"))
-        .and_then(Value::as_f64)
-        .expect("large-fleet evaluate returns a ratio");
-    let theory = raysearch_bounds::a_rays(2, 199, 99).unwrap();
-    assert!(
-        ratio.is_finite() && ((ratio - theory) / theory).abs() < 1e-6,
-        "{ratio} vs {theory}"
-    );
-    // and the repeat is a byte-identical cache hit
-    let (_, doc2) = fetch_json(&addr, "POST", "/evaluate", Some(body)).unwrap();
-    assert_eq!(doc2.get("cached").and_then(Value::as_bool), Some(true));
-    assert_eq!(
-        result_of(&doc).to_json_string(),
-        result_of(&doc2).to_json_string()
-    );
+    // overflowed to an error); now it serves the closed form exactly.
+    // The deep-horizon rows have q = m(f+1) within 2 of k: the
+    // slowest-growing bases, so the most turning points per ray, past
+    // k = 256 on the line and on three and four rays.
+    for (m, k, f, horizon) in [
+        (2u32, 199u32, 99u32, "1e6"),
+        (2, 257, 128, "1e12"),
+        (3, 61, 20, "1e12"),
+        (4, 62, 15, "1e12"),
+    ] {
+        let body = format!(r#"{{"m":{m},"k":{k},"f":{f},"horizon":{horizon}}}"#);
+        let (status, doc) = fetch_json(&addr, "POST", "/evaluate", Some(&body)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let ratio = result_of(&doc)
+            .get("report")
+            .and_then(|r| r.get("ratio"))
+            .and_then(Value::as_f64)
+            .expect("large-fleet evaluate returns a ratio");
+        let theory = raysearch_bounds::a_rays(m, k, f).unwrap();
+        assert!(
+            ratio.is_finite() && ((ratio - theory) / theory).abs() < 1e-6,
+            "{body}: {ratio} vs {theory}"
+        );
+        // and the repeat is a byte-identical cache hit
+        let (_, doc2) = fetch_json(&addr, "POST", "/evaluate", Some(&body)).unwrap();
+        assert_eq!(
+            doc2.get("cached").and_then(Value::as_bool),
+            Some(true),
+            "{body}"
+        );
+        assert_eq!(
+            result_of(&doc).to_json_string(),
+            result_of(&doc2).to_json_string(),
+            "{body}"
+        );
+    }
     handle.shutdown();
 }
 
